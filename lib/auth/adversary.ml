@@ -18,13 +18,10 @@ type t = {
   mutable hijacked : int;
 }
 
-let emit t kind detail =
-  match t.trace with
-  | None -> ()
-  | Some tr ->
-    Netsim.Trace.emit tr
-      ~at:(Netsim.Engine.now (Net.Node.engine t.node))
-      ~node:(Net.Node.name t.node) ~kind detail
+let emit t kind fmt =
+  Netsim.Trace.emitf t.trace
+    ~at:(Netsim.Engine.now (Net.Node.engine t.node))
+    ~node:(Net.Node.name t.node) ~kind fmt
 
 let get_u8 buf i = Char.code (Bytes.get buf i)
 
@@ -51,10 +48,8 @@ let create ?trace ~victim node =
       if Bytes.length p >= 8 && Ipv4.Addr.equal (get_addr p 4) t.victim
       then begin
         t.hijacked <- t.hijacked + 1;
-        emit t "hijack"
-          (Printf.sprintf "stole packet for %s from %s"
-             (Ipv4.Addr.to_string t.victim)
-             (Ipv4.Addr.to_string pkt.Ipv4.Packet.src))
+        emit t "hijack" "stole packet for %a from %a" Ipv4.Addr.pp t.victim
+          Ipv4.Addr.pp pkt.Ipv4.Packet.src
       end);
   t
 
@@ -78,11 +73,8 @@ let forge_registration t ~home_agent ~foreign_agent =
   put_addr buf 1 t.victim;
   put_addr buf 5 foreign_agent;
   t.forged <- t.forged + 1;
-  emit t "forged-update"
-    (Printf.sprintf "forged registration: %s at fa=%s -> ha=%s"
-       (Ipv4.Addr.to_string t.victim)
-       (Ipv4.Addr.to_string foreign_agent)
-       (Ipv4.Addr.to_string home_agent));
+  emit t "forged-update" "forged registration: %a at fa=%a -> ha=%a"
+    Ipv4.Addr.pp t.victim Ipv4.Addr.pp foreign_agent Ipv4.Addr.pp home_agent;
   (* Spoof the victim as the IP source, as the genuine registration
      would carry. *)
   send_udp t ~src:t.victim ~dst:home_agent buf
@@ -94,11 +86,9 @@ let forge_location_update t ~src ~dst ~foreign_agent =
   in
   t.forged <- t.forged + 1;
   emit t "forged-update"
-    (Printf.sprintf "forged location update to %s: %s at fa=%s (src spoofed as %s)"
-       (Ipv4.Addr.to_string dst)
-       (Ipv4.Addr.to_string t.victim)
-       (Ipv4.Addr.to_string foreign_agent)
-       (Ipv4.Addr.to_string src));
+    "forged location update to %a: %a at fa=%a (src spoofed as %a)"
+    Ipv4.Addr.pp dst Ipv4.Addr.pp t.victim Ipv4.Addr.pp foreign_agent
+    Ipv4.Addr.pp src;
   Net.Node.send t.node
     (Ipv4.Packet.make ~proto:Ipv4.Proto.icmp ~src ~dst icmp)
 
@@ -138,19 +128,15 @@ let tap t lan =
       | None -> ()
       | Some pkt ->
         t.captured <- t.captured @ [ pkt ];
-        emit t "capture"
-          (Printf.sprintf "captured registration for %s (%d bytes)"
-             (Ipv4.Addr.to_string t.victim)
-             (Bytes.length pkt.Ipv4.Packet.payload)))
+        emit t "capture" "captured registration for %a (%d bytes)"
+          Ipv4.Addr.pp t.victim (Bytes.length pkt.Ipv4.Packet.payload))
 
 let replay_captured t =
   List.iter
     (fun pkt ->
        t.replayed <- t.replayed + 1;
-       emit t "replay"
-         (Printf.sprintf "replaying captured registration for %s to %s"
-            (Ipv4.Addr.to_string t.victim)
-            (Ipv4.Addr.to_string pkt.Ipv4.Packet.dst));
+       emit t "replay" "replaying captured registration for %a to %a"
+         Ipv4.Addr.pp t.victim Ipv4.Addr.pp pkt.Ipv4.Packet.dst;
        (* Byte-identical payload, fresh IP envelope. *)
        Net.Node.send t.node
          (Ipv4.Packet.make ~proto:pkt.Ipv4.Packet.proto

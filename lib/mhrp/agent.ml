@@ -69,14 +69,8 @@ let engine t = Node.engine t.node
 let now t = Engine.now (engine t)
 
 let tracef t kind fmt =
-  Format.kasprintf
-    (fun detail ->
-       match Node.trace t.node with
-       | None -> ()
-       | Some tr ->
-         Netsim.Trace.emit tr ~at:(now t) ~node:(Node.name t.node) ~kind
-           detail)
-    fmt
+  Netsim.Trace.emitf (Node.trace t.node) ~at:(now t) ~node:(Node.name t.node)
+    ~kind fmt
 
 (* --- authentication (RFC 2002-style extension; experiment E15) --- *)
 

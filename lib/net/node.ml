@@ -12,7 +12,7 @@ type icmp_quote = Quote_min | Quote_full
 type iface_state = {
   lan : Lan.t;
   mac : Mac.t;
-  mutable addr : Ipv4.Addr.t option;
+  addr : Ipv4.Addr.t option;
   mutable active : bool;
 }
 
@@ -29,6 +29,11 @@ type t = {
   tr : Netsim.Trace.t option;
   mutable ifaces : iface_state array;
   mutable extra_addrs : Ipv4.Addr.t list;
+  mutable addrs : Ipv4.Addr.t array;
+  (* [addresses] as an array: active interface addresses in slot order,
+     then [extra_addrs].  Rebuilt by [refresh_addrs] on every change, so
+     per-frame [has_address] never walks the slots a roaming host's past
+     attachments left behind. *)
   mutable table : Route.t;
   arp_cache : (Ipv4.Addr.t, Mac.t * Time.t) Hashtbl.t;
   (* binding plus the time it was learned *)
@@ -74,7 +79,7 @@ let create ~engine ~mac_alloc ?trace ?(router = false) ?proc_delay
   { engine; mac_alloc; name; router; proc_delay; option_slow_factor;
     icmp_quote;
     arp_timeout; arp_entry_ttl; tr = trace;
-    ifaces = [||]; extra_addrs = []; table = Route.empty;
+    ifaces = [||]; extra_addrs = []; addrs = [||]; table = Route.empty;
     arp_cache = Hashtbl.create 16;
     arp_pending = [];
     reassembly = Ipv4.Packet.Reassembly.create ();
@@ -99,55 +104,43 @@ let engine t = t.engine
 let is_router t = t.router
 let trace t = t.tr
 
-(* Format only when someone is listening: with tracing absent or
-   disabled the arguments are consumed without rendering ([ikfprintf]),
-   so per-packet trace calls cost nothing on benchmark runs. *)
 let tracef t kind fmt =
-  match t.tr with
-  | Some tr when Netsim.Trace.enabled tr ->
-    Format.kasprintf
-      (fun detail ->
-         Netsim.Trace.emit tr ~at:(Engine.now t.engine) ~node:t.name ~kind
-           detail)
-      fmt
-  | _ -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
+  Netsim.Trace.emitf t.tr ~at:(Engine.now t.engine) ~node:t.name ~kind fmt
 
 (* --- addresses --- *)
 
-let iface_addrs t =
-  Array.to_list t.ifaces
-  |> List.filter_map (fun i -> if i.active then i.addr else None)
-
-let addresses t = iface_addrs t @ t.extra_addrs
-
-(* Checked on every received packet (rx_ip) — scan the interface array
-   directly rather than materialising the address list per call. *)
-let has_address t a =
-  let n = Array.length t.ifaces in
-  let rec on_iface i =
-    i < n
-    && ((t.ifaces.(i).active
-         && match t.ifaces.(i).addr with
-            | Some x -> Ipv4.Addr.equal x a
-            | None -> false)
-        || on_iface (i + 1))
+let refresh_addrs t =
+  let on_ifaces =
+    Array.to_list t.ifaces
+    |> List.filter_map (fun i -> if i.active then i.addr else None)
   in
-  on_iface 0 || List.exists (Ipv4.Addr.equal a) t.extra_addrs
+  t.addrs <- Array.of_list (on_ifaces @ t.extra_addrs)
+
+let addresses t = Array.to_list t.addrs
+
+let has_address t a =
+  let rec scan i =
+    i < Array.length t.addrs
+    && (Ipv4.Addr.equal t.addrs.(i) a || scan (i + 1))
+  in
+  scan 0
 
 let add_address t a =
-  if not (List.exists (Ipv4.Addr.equal a) t.extra_addrs) then
+  if not (List.exists (Ipv4.Addr.equal a) t.extra_addrs) then begin
     (* append: the first-claimed (home) address stays primary even when a
        temporary address is added later *)
-    t.extra_addrs <- t.extra_addrs @ [a]
+    t.extra_addrs <- t.extra_addrs @ [a];
+    refresh_addrs t
+  end
 
 let remove_address t a =
   t.extra_addrs <-
-    List.filter (fun x -> not (Ipv4.Addr.equal x a)) t.extra_addrs
+    List.filter (fun x -> not (Ipv4.Addr.equal x a)) t.extra_addrs;
+  refresh_addrs t
 
 let primary_addr t =
-  match addresses t with
-  | [] -> failwith (t.name ^ ": no address")
-  | a :: _ -> a
+  if Array.length t.addrs = 0 then failwith (t.name ^ ": no address");
+  t.addrs.(0)
 
 (* --- routing --- *)
 
@@ -704,12 +697,14 @@ let attach t ?addr lan =
   let s = { lan; mac; addr; active = true } in
   let i = Array.length t.ifaces in
   t.ifaces <- Array.append t.ifaces [| s |];
+  refresh_addrs t;
   Lan.attach lan mac (fun frame -> on_frame t i frame);
   i
 
 let detach t i =
   let s = iface t i in
   s.active <- false;
+  refresh_addrs t;
   Lan.detach s.lan s.mac
 
 (* --- failure injection --- *)

@@ -1,3 +1,5 @@
+type handle = (unit -> unit) Event_queue.handle
+
 type t = {
   mutable clock : Time.t;
   queue : (unit -> unit) Event_queue.t;
@@ -34,25 +36,12 @@ let every t ~interval ?until f =
   in
   tick ()
 
-let step t =
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some (at, f) ->
-    t.clock <- at;
-    t.fired <- t.fired + 1;
-    f ();
-    true
-
 let run ?until t =
-  let continue () =
-    match until, Event_queue.peek_time t.queue with
-    | _, None -> false
-    | None, Some _ -> true
-    | Some stop, Some next -> Time.(next <= stop)
-  in
-  while continue () do
-    ignore (step t)
-  done;
+  let stop = match until with Some s -> s | None -> max_int in
+  Event_queue.drain t.queue ~until:stop (fun at f ->
+      t.clock <- at;
+      t.fired <- t.fired + 1;
+      f ());
   match until with
   | Some stop when Time.(stop > t.clock) -> t.clock <- stop
   | _ -> ()

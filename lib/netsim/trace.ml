@@ -38,6 +38,13 @@ let emit t ~at ~node ~kind detail =
     end
   end
 
+(* Render only for a present, enabled trace; otherwise [ikfprintf]
+   consumes the arguments and no printer runs. *)
+let emitf tr ~at ~node ~kind fmt =
+  match tr with
+  | Some t when t.on -> Format.kasprintf (emit t ~at ~node ~kind) fmt
+  | _ -> Format.ikfprintf ignore Format.str_formatter fmt
+
 let events t = List.rev t.events
 let find t ~kind = List.filter (fun e -> String.equal e.kind kind) (events t)
 let count t ~kind = List.length (find t ~kind)

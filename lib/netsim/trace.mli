@@ -22,11 +22,20 @@ val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 
 val active : t option -> bool
-(** [active tr] — a trace is present and enabled.  Per-packet emitters
-    (and the forwarding fast path, which skips work when nobody
-    listens) guard on this before rendering any detail string. *)
+(** [active tr] — a trace is present and enabled.  {!emitf} and the
+    forwarding fast path (which skips work when nobody listens) guard on
+    this before rendering any detail string. *)
 
 val emit : t -> at:Time.t -> node:string -> kind:string -> string -> unit
+
+val emitf :
+  t option -> at:Time.t -> node:string -> kind:string ->
+  ('a, Format.formatter, unit, unit) format4 -> 'a
+(** [emitf tr ~at ~node ~kind fmt args] is [emit] with a [Format] detail,
+    and it is free when tracing is off: the detail is rendered only when
+    [active tr]; otherwise the arguments are consumed unrendered and no
+    [%a] printer runs.  Every emitter of formatted detail uses it. *)
+
 val events : t -> event list
 (** Oldest first. *)
 

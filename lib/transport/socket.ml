@@ -70,7 +70,7 @@ type t = {
   mutable peer_fin_seq : int option;
   mutable peer_fin_done : bool;
   (* One retransmission timer per connection, exponential backoff. *)
-  mutable timer : Netsim.Event_queue.handle option;
+  mutable timer : Engine.handle option;
   mutable rto_cur : Time.t;
   mutable retries : int;
   mutable established_cb : (unit -> unit) option;
@@ -212,7 +212,7 @@ let rec try_send t =
   arm_timer t
 
 and arm_timer t =
-  if t.timer = None && t.snd_una < t.snd_nxt && timer_allowed t then
+  if Option.is_none t.timer && t.snd_una < t.snd_nxt && timer_allowed t then
     t.timer <-
       Some
         (Engine.schedule_after t.engine ~delay:t.rto_cur (fun () ->

@@ -255,6 +255,84 @@ let eq_tests =
             in
             drain [] = expected)) ]
 
+(* Model test: the queue against a list of live (time, id) pairs, where
+   ids are push order and so break ties.  Cancels pick any handle ever
+   pushed, fired and cancelled ones included, and outnumber pops, so
+   tombstones regularly exceed half the heap and force compaction. *)
+type eq_op = Push of int | Cancel of int | Pop
+
+let eq_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (4, map (fun t -> Push t) (int_bound 40));
+        (4, map (fun k -> Cancel k) nat);
+        (1, return Pop) ])
+
+let eq_model_test =
+  QCheck.Test.make ~name:"event queue matches a sorted-list model"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
+       QCheck.Gen.(list_size (int_range 0 400) eq_op_gen))
+    (fun ops ->
+       let q = Eq.create () in
+       let handles = ref [||] and live = ref [] in
+       let earliest () =
+         List.fold_left
+           (fun best (t, i) ->
+              match best with
+              | Some (t', i') when (t', i') < (t, i) -> best
+              | _ -> Some (t, i))
+           None !live
+       in
+       let step = function
+         | Push t ->
+           let id = Array.length !handles in
+           handles := Array.append !handles [| Eq.push q (Time.of_us t) id |];
+           live := (t, id) :: !live;
+           true
+         | Cancel _ when Array.length !handles = 0 -> true
+         | Cancel k ->
+           let id = k mod Array.length !handles in
+           let expected = List.exists (fun (_, i) -> i = id) !live in
+           live := List.filter (fun (_, i) -> i <> id) !live;
+           Eq.cancel q !handles.(id) = expected
+         | Pop ->
+           let expected = earliest () in
+           (match expected with
+            | Some (_, id) -> live := List.filter (fun (_, i) -> i <> id) !live
+            | None -> ());
+           Option.map (fun (t, id) -> (Time.to_us t, id)) (Eq.pop q)
+           = expected
+       in
+       let consistent () =
+         Eq.length q = List.length !live && Eq.is_empty q = (!live = [])
+       in
+       List.for_all (fun op -> step op && consistent ()) ops
+       && List.for_all (fun _ -> step Pop && consistent ())
+            (List.init (List.length !live + 1) Fun.id)
+       (* every handle has now fired or been cancelled *)
+       && Array.for_all (fun h -> not (Eq.cancel q h)) !handles)
+
+let eq_compaction_tests =
+  [ Alcotest.test_case "mass cancellation keeps order and length" `Quick
+      (fun () ->
+        (* Cancelling 3 of every 4 of 64 entries without popping leaves
+           tombstones well over half the heap, so it is compacted. *)
+        let q = Eq.create () in
+        let hs = Array.init 64 (fun i -> Eq.push q (Time.of_us (i mod 8)) i) in
+        Array.iteri (fun i h -> if i mod 4 <> 0 then ignore (Eq.cancel q h)) hs;
+        check Alcotest.int "length" 16 (Eq.length q);
+        let rec drain acc =
+          match Eq.pop q with None -> List.rev acc | Some (_, v) -> drain (v :: acc)
+        in
+        let survivors = List.init 16 (fun k -> 4 * k) in
+        check (Alcotest.list Alcotest.int) "order"
+          (List.stable_sort (fun a b -> compare (a mod 8) (b mod 8)) survivors)
+          (drain []);
+        check Alcotest.bool "cancel after fire" false (Eq.cancel q hs.(0)));
+    qtest eq_model_test ]
+
 (* --- Engine --- *)
 
 let engine_tests =
@@ -413,7 +491,33 @@ let trace_tests =
              (List.filter (fun e -> e.Netsim.Trace.kind = "even") evs))
           (List.length (Netsim.Trace.find tr ~kind:"even"))) ]
 
+let trace_emitf_test =
+  Alcotest.test_case "emitf renders only for an enabled trace" `Quick
+    (fun () ->
+      let calls = ref 0 in
+      let pp ppf n =
+        incr calls;
+        Format.fprintf ppf "<%d>" n
+      in
+      let emit tr =
+        Netsim.Trace.emitf tr ~at:Time.zero ~node:"n" ~kind:"k"
+          "x %a y=%d %s" pp 1 2 "z"
+      in
+      emit None;
+      let tr = Netsim.Trace.create () in
+      Netsim.Trace.set_enabled tr false;
+      emit (Some tr);
+      check Alcotest.int "no printer ran" 0 !calls;
+      check Alcotest.int "nothing recorded" 0
+        (List.length (Netsim.Trace.events tr));
+      Netsim.Trace.set_enabled tr true;
+      emit (Some tr);
+      check Alcotest.int "printer ran once" 1 !calls;
+      check (Alcotest.list Alcotest.string) "same text as asprintf"
+        [ Format.asprintf "x %a y=%d %s" pp 1 2 "z" ]
+        (List.map (fun e -> e.Netsim.Trace.detail) (Netsim.Trace.events tr)))
+
 let suite =
-  [ ("time", time_tests); ("rng", rng_tests); ("event-queue", eq_tests);
+  [ ("time", time_tests); ("rng", rng_tests); ("event-queue", eq_tests @ eq_compaction_tests);
     ("engine", engine_tests); ("stats", stats_tests);
-    ("trace", trace_tests) ]
+    ("trace", trace_tests @ [ trace_emitf_test ]) ]
