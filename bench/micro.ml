@@ -261,7 +261,10 @@ let run () =
   List.iter (fun (_, p) -> ignore (Lazy.force p)) scale_routes;
   let instance = Instance.monotonic_clock in
   let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:None ()
+    (* no GC compaction before each sample: the heavy fixtures forced
+       above stay live, and compacting around them swamps the timings *)
+    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:None
+      ~stabilize:false ()
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]

@@ -114,10 +114,9 @@ let check_equivalence ?routers t =
          (Node.addresses n))
     all_nodes;
   let lans = List.filter Lan.is_up (Topology.lans t.topo) in
-  let check_pair node lan =
+  let check_pair node lan expected =
     let p = Lan.prefix lan in
     let probe = Addr.Prefix.host p 1 in
-    let expected = Routing.path_length_graph graph ~src:node ~dst_lan:lan in
     match walk addr_map node p probe with
     | Error e ->
       Some (Printf.sprintf "%s -> %s: %s" (Node.name node) (Lan.name lan) e)
@@ -137,10 +136,17 @@ let check_equivalence ?routers t =
     | r :: rest ->
       let node = Router.node r in
       if not (Node.is_up node) then first_error rest
-      else (
-        match List.find_map (check_pair node) lans with
+      else
+        let expected =
+          Routing.path_lengths_graph graph ~src:node ~dst_lans:lans
+        in
+        match
+          List.find_map
+            (fun (lan, x) -> check_pair node lan x)
+            (List.combine lans expected)
+        with
         | Some e -> Error e
-        | None -> first_error rest)
+        | None -> first_error rest
   in
   first_error sources
 

@@ -56,12 +56,13 @@ val synchronized : t -> bool
 
 val check_equivalence : ?routers:Router.t list -> t -> (unit, string) result
 (** Walk every (router, up-LAN) pair's installed route hop by hop and
-    compare the delivery hop count against {!Net.Routing.path_length_graph}
+    compare the delivery hop count against {!Net.Routing.path_lengths_graph}
     on a freshly built oracle graph.  [Error] carries the first mismatch:
     a loop, a black hole, a detour, or a route the oracle says cannot
     exist.  [routers] (default: all) restricts the sources checked —
-    large sweeps sample.  O(sources × LANs) oracle BFS runs: exhaustive
-    on test topologies, sampled at 256 campuses. *)
+    large sweeps sample.  One oracle BFS per source, plus a table walk
+    per (source, LAN) pair: exhaustive on test topologies, sampled at 256
+    campuses. *)
 
 val equivalent : ?routers:Router.t list -> t -> bool
 (** [check_equivalence] as a predicate. *)

@@ -16,8 +16,9 @@ type entry = {
    always win), then one table per remaining distinct prefix length,
    probed in descending-length order with the masked address as key.
    Prefixes of equal length are disjoint or equal (and equal ones are
-   deduplicated by [add]/[bulk]), so each per-length probe has at most
-   one possible match and the first hit is the longest-prefix match.
+   deduplicated by [add]/[bulk], and barred from [of_entries]), so each
+   per-length probe has at most one possible match and the first hit is
+   the longest-prefix match.
    Table values index a small array of deduplicated boxed targets: a
    region's worth of /32s pointing at one gateway shares a single boxed
    [Via].  The compiled form is built lazily on the first lookup after a
@@ -65,8 +66,8 @@ let remove_host t addr = remove t (Ipv4.Addr.Prefix.make addr 32)
 let add_default t target =
   add t (Ipv4.Addr.Prefix.make Ipv4.Addr.zero 0) target
 
-(* Bulk construction for the route computation, which otherwise pays
-   O(n) [add]s of O(n) each per node.  Reproduces the fold-of-[add]
+(* Bulk construction for a whole computed table, which otherwise pays
+   O(n) [add]s of O(n) each.  Reproduces the fold-of-[add]
    result exactly: a later duplicate prefix replaces the earlier one and
    sits at the position of its last insertion; entries are ordered by
    descending prefix length, insertion-ordered within a length. *)

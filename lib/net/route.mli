@@ -30,8 +30,13 @@ val add_default : t -> target -> t
 
 val bulk : (Ipv4.Addr.Prefix.t * target) list -> t
 (** The table [List.fold_left (fun t (p, tg) -> add t p tg) empty pairs],
-    built in O(n log n) instead of O(n²) — the route computation's bulk
-    path. *)
+    built in O(n log n) instead of O(n²) — how link-state routers install
+    their SPF result. *)
+
+val of_entries : entry list -> t
+(** The table holding exactly these entries, which must already be in
+    {!entries} order with no prefix repeated (unchecked) — the route
+    computation's output path, which emits them that way. *)
 
 val lookup : t -> Ipv4.Addr.t -> target option
 (** Longest-prefix match. *)

@@ -2,9 +2,13 @@
 
     The paper assumes ordinary IP routing delivers packets to a host's
     network; MHRP rides on top.  We provide that substrate with a global
-    shortest-path computation (one BFS per node over the LAN-adjacency
-    graph, transit through routers only), filling every node's routing
-    table with one entry per reachable network prefix.
+    shortest-path computation, filling every node's routing table with one
+    entry per reachable network prefix.  Each source runs one BFS over the
+    bipartite node/LAN graph with transit through routers only; a LAN is
+    scanned once per BFS, so a source costs O(N + ΣM) for N nodes and LAN
+    sizes M.  Non-routers with identical (interface, LAN) attachments get
+    one physically shared table — safe because tables are persistent:
+    changing one node's routes replaces its value and leaves the others'.
 
     Host-specific (/32) routes installed later by protocol code survive
     only until the next [compute]; recompute before protocol setup.
@@ -20,22 +24,29 @@
     LSR's per-router SPF counts. *)
 
 type graph
-(** The LAN-adjacency graph over a snapshot of nodes and LANs, plus the
-    BFS scratch state.  Building it is O(N·I + E); reuse one graph across
+(** A snapshot of nodes, their interfaces and LAN memberships, plus the
+    BFS scratch state.  Building it is O(N·I) for I interfaces per node,
+    plus sorting the nodes and LANs by name; reuse one graph across
     queries instead of rebuilding per call.  A graph goes stale when
     topology changes (attach/detach, LANs going up or down) — rebuild it
     then. *)
 
 val build : nodes:Node.t list -> lans:Lan.t list -> graph
-(** Snapshot the adjacency of [nodes] across the (up) [lans].  The LAN
-    list may contain repeats; they are deduplicated by identity. *)
+(** Snapshot [nodes] and their attachments; only the [lans] that are up
+    now carry transit.  The LAN list may contain repeats; they count once
+    for transit, while for {!compute_graph} a LAN listed again counts at
+    its last position. *)
 
 val compute : nodes:Node.t list -> lans:Lan.t list -> unit
 (** Replace every node's routing table.  Nodes attached to a LAN get a
     [Direct] entry; others get [Via] the first-hop router toward the
     nearest router attached to that LAN.  Unreachable prefixes get no
-    entry.  Deterministic: ties break on node name.  Equivalent to
-    [compute_graph (build ~nodes ~lans)]. *)
+    entry.  Deterministic: among equally near routers on a LAN the
+    smallest node name wins; nodes reached by one expansion are queued in
+    name order; and a first hop's gateway address is the one it has on
+    the smallest-named LAN it shares with the source.  Several LANs with
+    one prefix yield one entry, from the last listed LAN that produces
+    it.  Equivalent to [compute_graph (build ~nodes ~lans)]. *)
 
 val compute_graph : graph -> unit
 (** [compute] on an already-built graph. *)
@@ -54,6 +65,11 @@ val graph_of_nodes : Node.t list -> graph
 
 val path_length_graph : graph -> src:Node.t -> dst_lan:Lan.t -> int option
 (** {!path_length} against a prebuilt graph. *)
+
+val path_lengths_graph :
+  graph -> src:Node.t -> dst_lans:Lan.t list -> int option list
+(** {!path_length_graph} for each of [dst_lans], in order, from a single
+    BFS — a source checked against every network pays for one search. *)
 
 val recompute_count : unit -> int
 (** Number of global full-table computations ({!compute} /

@@ -24,4 +24,5 @@ let () =
          Test_compact.suite;
          Test_hierarchy.suite;
          Test_parallel.suite;
-         Test_fastpath.suite ])
+         Test_fastpath.suite;
+         Test_routing.suite ])
