@@ -19,6 +19,13 @@
     are no tombstones and long-lived tables never degrade.  The table
     grows (doubling) at 3/4 load and never shrinks.
 
+    Allocation-free means the probes are top-level recursive functions
+    that take the arrays, mask and key as arguments.  The release build
+    has no flambda, so a local [let rec] that closes over them is a
+    fresh closure on every call (6 minor words per [find] before this
+    rule); hot paths here and in callers use no local recursive
+    closures.
+
     Determinism: the slot layout — and hence {!iter}/{!fold} order — is
     a pure function of the operation history, identical across runs and
     domains.  Callers that expose ordering must sort, exactly as they

@@ -54,7 +54,7 @@ let control_bytes t =
     0 t.routers
 
 let db_signature r =
-  Router.lsdb_fold r (fun o seq acc -> (Addr.to_int o, seq) :: acc) []
+  Router.lsdb_fold r (fun o seq _ acc -> (Addr.to_int o, seq) :: acc) []
   |> List.sort compare
 
 let synchronized t =

@@ -25,7 +25,14 @@
     cleared by reboot; the own-LSA sequence number persists (routers keep
     it in NVRAM precisely so a rebooted router does not come back smaller
     than its own stale LSAs).  {!Counters} persist too — they are the
-    experimenter's tally, not protocol state. *)
+    experimenter's tally, not protocol state.
+
+    {b Flat state.}  The neighbor table maps [iface lsl 32 lor origin]
+    to the time last heard in an {!Ipv4.Int_table}.  The LSDB sits on a
+    dense router index: each router id seen as an origin or a listed
+    neighbour gets the next slot, never reused, and an installed LSA is
+    kept as its sequence number plus, per link, the packed prefix, the
+    origin's address and the neighbour slots as an [int array]. *)
 
 type t
 
@@ -53,8 +60,10 @@ val lsdb_size : t -> int
 val lsdb_seq : t -> Ipv4.Addr.t -> int option
 (** Sequence number stored for the given origin, if any. *)
 
-val lsdb_fold : t -> (Ipv4.Addr.t -> int -> 'a -> 'a) -> 'a -> 'a
-(** Fold over (origin, sequence-number) pairs in unspecified order. *)
+val lsdb_fold :
+  t -> (Ipv4.Addr.t -> int -> Packet.link list -> 'a -> 'a) -> 'a -> 'a
+(** Fold over the stored LSAs as (origin, sequence number, links) in
+    unspecified order. *)
 
 val settled : t -> bool
 (** No deferred protocol work: the last-originated LSA still matches the
@@ -66,7 +75,27 @@ val settled : t -> bool
 val spf_now : t -> unit
 (** Run SPF immediately over the current database and install routes —
     the computation the [spf_delay] timer normally coalesces.  Exposed
-    for micro-benchmarks; experiments let the timer drive it. *)
+    for micro-benchmarks and the reference test; experiments let the
+    timer drive it.
+
+    A BFS from this router over the dense index, with epoch-stamped
+    [int array]s for reach, distance and first hop and an [int array]
+    queue; it never hashes.  Tie-breaks, exactly:
+    - an edge R—N across prefix P exists when R's link on P lists N
+      and one of N's links on P lists R (the mutual-listing check),
+      tested when BFS first reaches N; that first reach, in BFS order
+      over links and neighbours as listed, fixes N's distance and first
+      hop (N's address on its first such link when R is this router,
+      else R's first hop);
+    - each prefix any reached router claims goes to the least
+      (distance, router id);
+    - a prefix this router wins installs, as [Direct], only where
+      {!Net.Node.iface_to} finds an interface; otherwise it is dropped
+      (no other router gets it).
+    The table is longest prefix first, ascending base within a length —
+    with {!Config.t.preserve_host_routes}, the /32s already installed
+    follow the SPF /32s and replace any on the same prefix — exactly
+    [Route.bulk (routes @ preserved)] of the sorted routes. *)
 
 val reoriginate : t -> unit
 (** Bump the sequence number, rebuild the own LSA from live interfaces

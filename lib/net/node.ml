@@ -34,6 +34,10 @@ type t = {
      then [extra_addrs].  Rebuilt by [refresh_addrs] on every change, so
      per-frame [has_address] never walks the slots a roaming host's past
      attachments left behind. *)
+  mutable live : (int * Lan.t * Ipv4.Addr.t option) list;
+  (* [ifaces]: the active interfaces, ascending by index.  Rebuilt with
+     [addrs], so per-packet readers (link-state receive, agents) share
+     one list instead of deriving it per call. *)
   mutable table : Route.t;
   arp_cache : (Ipv4.Addr.t, Mac.t * Time.t) Hashtbl.t;
   (* binding plus the time it was learned *)
@@ -79,7 +83,8 @@ let create ~engine ~mac_alloc ?trace ?(router = false) ?proc_delay
   { engine; mac_alloc; name; router; proc_delay; option_slow_factor;
     icmp_quote;
     arp_timeout; arp_entry_ttl; tr = trace;
-    ifaces = [||]; extra_addrs = []; addrs = [||]; table = Route.empty;
+    ifaces = [||]; extra_addrs = []; addrs = [||]; live = [];
+    table = Route.empty;
     arp_cache = Hashtbl.create 16;
     arp_pending = [];
     reassembly = Ipv4.Packet.Reassembly.create ();
@@ -114,7 +119,11 @@ let refresh_addrs t =
     Array.to_list t.ifaces
     |> List.filter_map (fun i -> if i.active then i.addr else None)
   in
-  t.addrs <- Array.of_list (on_ifaces @ t.extra_addrs)
+  t.addrs <- Array.of_list (on_ifaces @ t.extra_addrs);
+  t.live <-
+    Array.to_list (Array.mapi (fun i s -> (i, s)) t.ifaces)
+    |> List.filter_map (fun (i, s) ->
+        if s.active then Some (i, s.lan, s.addr) else None)
 
 let addresses t = Array.to_list t.addrs
 
@@ -173,10 +182,7 @@ let iface t i =
     invalid_arg (Printf.sprintf "%s: no active interface %d" t.name i);
   t.ifaces.(i)
 
-let ifaces t =
-  Array.to_list (Array.mapi (fun i s -> (i, s)) t.ifaces)
-  |> List.filter_map (fun (i, s) ->
-      if s.active then Some (i, s.lan, s.addr) else None)
+let ifaces t = t.live
 
 let iface_lan t i = (iface t i).lan
 let iface_mac t i = (iface t i).mac

@@ -63,6 +63,10 @@ val detach : t -> int -> unit
 (** Leave the LAN; the interface index is retired. *)
 
 val ifaces : t -> (int * Lan.t * Ipv4.Addr.t option) list
+(** Active interfaces as (index, LAN, address), ascending by index.  The
+    list is cached and rebuilt only when interfaces or addresses change,
+    so reading it per packet allocates nothing. *)
+
 val iface_lan : t -> int -> Lan.t
 val iface_mac : t -> int -> Mac.t
 val iface_addr : t -> int -> Ipv4.Addr.t option

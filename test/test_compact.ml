@@ -89,6 +89,28 @@ let int_table_tests =
         check Alcotest.bool "mem" false (Int_table.mem t (-5));
         check (Alcotest.option Alcotest.int) "find_opt" None
           (Int_table.find_opt t (-5)));
+    Alcotest.test_case "steady-state probes allocate nothing" `Quick
+      (fun () ->
+         let t = Int_table.create () in
+         for i = 0 to 999 do
+           Int_table.replace t (i * 13) i
+         done;
+         let n = 10_000 in
+         let (), a =
+           Obs.Alloc.measure (fun () ->
+               for i = 0 to n - 1 do
+                 let k = i mod 1000 * 13 in
+                 ignore (Int_table.find t k ~default:(-1) : int);
+                 ignore (Int_table.mem t (k + 1) : bool);
+                 Int_table.replace t k i;
+                 Int_table.remove t (k + 5)
+               done)
+         in
+         (* the measurement's own stat records are a few dozen words; a
+            closure per probe would be tens of thousands *)
+         if a.Obs.Alloc.minor_words > 100. then
+           Alcotest.failf "%.0f minor words for %d x 4 probes"
+             a.Obs.Alloc.minor_words n);
     Alcotest.test_case "reset keeps capacity, drops bindings" `Quick
       (fun () ->
          let t = Int_table.create () in

@@ -242,6 +242,166 @@ let fault_tests =
         check Alcotest.int "no further SPF runs" before (spf_runs ());
         check_converged "still converged" d) ]
 
+(* --- SPF against the reference --- *)
+
+(* A random link-state database fed to one router [r] as real packets:
+   an injector host on each of r's LANs beacons hellos for the router ids
+   r should hear there and broadcasts the other routers' LSAs.  Then r
+   originates its own LSA, sometimes loses an interface (its stored LSA
+   still claims that prefix, but no interface reaches it) and gets a
+   table of host routes to preserve.  The worlds are built for ties and
+   traps: 0-11 other routers claiming prefixes from a small pool (several
+   at equal distance), ids below and above r's, one-way listings, ids
+   listed that never send an LSA, crashed routers whose LSAs nobody lists
+   back, a router on one prefix twice, neighbour lists out of order and
+   /32 prefixes that collide with preserved host routes. *)
+let spf_world seed =
+  let rs = Random.State.make [| seed |] in
+  let int n = Random.State.int rs n in
+  let chance k = int k = 0 in
+  let topo = Topology.create ~seed () in
+  let n_lans = 1 + int 3 in
+  let lans =
+    Array.init n_lans (fun k ->
+        Topology.add_lan topo ~net:(1 + k) (Printf.sprintf "l%d" k))
+  in
+  let rn =
+    Topology.add_router topo "r"
+      (Array.to_list (Array.map (fun lan -> (lan, 1)) lans))
+  in
+  let x = Topology.add_host topo "x" lans.(0) 200 in
+  for k = 1 to n_lans - 1 do
+    ignore
+      (Node.attach x ~addr:(Addr.Prefix.host (Lan.prefix lans.(k)) 200)
+         lans.(k))
+  done;
+  let config = Lsr.Config.make ~preserve_host_routes:(chance 2) () in
+  let r = Lsr.Router.create ~config rn in
+  let self = Lsr.Router.router_id r in
+  let host32 a = Addr.Prefix.make a 32 in
+  let pool =
+    Array.append (Array.map Lan.prefix lans)
+      [| Addr.net 5; Addr.net 6; Addr.net_len 0 16;
+         host32 (Addr.host 7 1); host32 (Addr.host 7 2) |]
+  in
+  let n_others = int 12 in
+  let id_of j = Addr.host (if chance 2 then 0 else 9) (1 + j) in
+  let ids = Array.init n_others id_of in
+  let ghosts = [ Addr.host 9 100; Addr.host 0 100 ] in
+  (* Each other router sits on 1-3 pool prefixes (one possibly twice);
+     r sits on its LANs. *)
+  let on =
+    Array.init n_others (fun _ ->
+        let ps = List.init (1 + int 3) (fun _ -> int (Array.length pool)) in
+        if chance 6 then List.hd ps :: ps else ps)
+  in
+  let crashed = Array.init n_others (fun _ -> chance 5) in
+  (* [lists.(a).(b)]: does router a (index n_others is r) list b on a
+     shared prefix?  Mostly mutual, sometimes one-way, never toward a
+     crashed router. *)
+  let n = n_others + 1 in
+  let lists = Array.make_matrix n n false in
+  for a = 0 to n - 1 do
+    for b = a + 1 to n - 1 do
+      match int 8 with
+      | 0 -> lists.(a).(b) <- true
+      | 1 -> lists.(b).(a) <- true
+      | 2 -> ()
+      | _ ->
+        lists.(a).(b) <- true;
+        lists.(b).(a) <- true
+    done
+  done;
+  Array.iteri
+    (fun j dead ->
+       if dead then for a = 0 to n - 1 do lists.(a).(j) <- false done)
+    crashed;
+  let id_at k = if k = n_others then self else ids.(k) in
+  let on_prefix k p =
+    if k = n_others then p < n_lans else List.mem p on.(k)
+  in
+  let neighbours j p =
+    let heard =
+      List.filter
+        (fun k -> k <> j && lists.(j).(k) && on_prefix k p)
+        (List.init n Fun.id)
+      |> List.map id_at
+    in
+    let heard = if chance 8 then List.nth ghosts (int 2) :: heard else heard in
+    if chance 4 then List.rev heard else List.sort Addr.compare heard
+  in
+  let send iface msg =
+    let src = Addr.Prefix.host (Lan.prefix lans.(iface)) 200 in
+    Node.broadcast_ip x ~iface
+      (Ipv4.Packet.make ~ttl:1 ~proto:Ipv4.Proto.lsrp ~src
+         ~dst:Addr.broadcast (LP.encode msg))
+  in
+  for k = 0 to n_lans - 1 do
+    List.iter
+      (fun origin -> send k (LP.Hello { origin }))
+      (neighbours n_others k)
+  done;
+  Array.iteri
+    (fun j ps ->
+       let links =
+         List.map
+           (fun p ->
+              let prefix = pool.(p) in
+              { LP.prefix;
+                addr =
+                  (if prefix.Addr.Prefix.len = 32 then prefix.Addr.Prefix.base
+                   else Addr.Prefix.host prefix (10 + j));
+                neighbors = neighbours j p })
+           ps
+       in
+       send 0 (LP.Lsa { origin = ids.(j); seq = 1 + int 3; links }))
+    on;
+  Topology.run ~until:(Time.of_ms 100) topo;
+  Lsr.Router.reoriginate r;
+  if n_lans > 1 && chance 3 then Node.detach rn (int n_lans);
+  let preset =
+    List.filter
+      (fun _ -> chance 2)
+      [ (pool.(Array.length pool - 1), Net.Route.Via (Addr.host 1 7));
+        (host32 (Addr.host 8 3), Net.Route.Direct 0);
+        (host32 (Addr.host 0 1), Net.Route.Via (Addr.host 1 9));
+        (Addr.net 8, Net.Route.Via (Addr.host 1 7)) ]
+  in
+  Node.set_routes rn (Net.Route.bulk preset);
+  (r, config)
+
+let pp_table ppf t = Net.Route.pp ppf t
+
+let spf_matches_reference seed =
+  let r, config = spf_world seed in
+  let node = Lsr.Router.node r in
+  let lsdb =
+    Lsr.Router.lsdb_fold r (fun o _ links acc -> (o, links) :: acc) []
+  in
+  let want, want_installed =
+    Lsr_ref.spf ~self:(Lsr.Router.router_id r) ~lsdb
+      ~preserve_host_routes:config.Lsr.Config.preserve_host_routes node
+  in
+  let c = Lsr.Router.counters r in
+  let before = c.Lsr.Counters.routes_installed in
+  Lsr.Router.spf_now r;
+  let got = Node.routes node in
+  if Net.Route.entries got <> Net.Route.entries want then
+    QCheck.Test.fail_reportf "table@.%a@.reference@.%a" pp_table got pp_table
+      want;
+  if c.Lsr.Counters.routes_installed - before <> want_installed then
+    QCheck.Test.fail_reportf "installed %d routes, reference %d"
+      (c.Lsr.Counters.routes_installed - before) want_installed;
+  true
+
+let arb_seed = QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+
+let spf_reference_tests =
+  [ qtest
+      (QCheck.Test.make ~count:500
+         ~name:"dense SPF tables equal the hashtable reference" arb_seed
+         spf_matches_reference) ]
+
 (* --- Oracle counter (satellite) --- *)
 
 let oracle_counter_tests =
@@ -258,4 +418,5 @@ let suite =
   [ ("lsr-codec", codec_tests);
     ("lsr-convergence", convergence_tests);
     ("lsr-faults", fault_tests);
+    ("lsr-spf-reference", spf_reference_tests);
     ("lsr-oracle-counter", oracle_counter_tests) ]

@@ -628,12 +628,46 @@ let routing_tests =
            check Alcotest.bool "no foreign addr" true (addr = None)
          | _ -> Alcotest.fail "expected one interface");
         Topology.move_host topo m l1;
-        match Node.ifaces m with
-        | [(_, lan, addr)] ->
-          check Alcotest.string "back home" "l1" (Lan.name lan);
-          check (Alcotest.option addr_testable) "home addr restored"
-            (Some home) addr
-        | _ -> Alcotest.fail "expected one interface");
+        (match Node.ifaces m with
+         | [(_, lan, addr)] ->
+           check Alcotest.string "back home" "l1" (Lan.name lan);
+           check (Alcotest.option addr_testable) "home addr restored"
+             (Some home) addr
+         | _ -> Alcotest.fail "expected one interface");
+        (* [ifaces] is cached across attach and detach: it must always
+           equal a fresh derivation from the per-index accessors. *)
+        let fresh () =
+          List.filter_map
+            (fun i ->
+               match Node.iface_lan m i with
+               | lan -> Some (i, lan, Node.iface_addr m i)
+               | exception Invalid_argument _ -> None)
+            (List.init 16 Fun.id)
+        in
+        let same step =
+          let got = Node.ifaces m and want = fresh () in
+          check Alcotest.bool (step ^ ": ifaces = fresh derivation") true
+            (List.length got = List.length want
+             && List.for_all2
+                  (fun (i, lan, a) (i', lan', a') ->
+                     i = i' && lan == lan' && a = a')
+                  got want)
+        in
+        same "after moves";
+        let i2 = Node.attach m ~addr:(Addr.host 2 11) l2 in
+        same "attach second";
+        let i3 = Node.attach m l2 in
+        same "attach addressless";
+        Node.detach m i2;
+        same "detach middle";
+        let _ = Node.attach m ~addr:(Addr.host 2 12) l2 in
+        same "re-attach";
+        Node.detach m i3;
+        Node.add_address m (Addr.host 9 9);
+        same "detach and extra address";
+        check Alcotest.bool "ascending by index" true
+          (let idx = List.map (fun (i, _, _) -> i) (Node.ifaces m) in
+           idx = List.sort_uniq compare idx));
     Alcotest.test_case "prebuilt graph answers like one-shot queries"
       `Quick (fun () ->
          let topo = Topology.create () in
